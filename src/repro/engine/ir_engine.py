@@ -8,16 +8,18 @@ into a list indexed by pc whose entries are handler closures
 * **block functions** — ``exec``-generated Python functions covering a
   maximal straight-line run of *batchable* instructions (pure
   register/ALU work: no memory access, no signals, no runtime
-  services).  One dispatch executes the whole run and, when the run
-  ends in a branch, the branch is absorbed ("fused") into the same
-  function — the hot ``ADDI+BLT`` / ``SLT+BNEZ`` inductor idioms the
-  codegen emits constantly execute without re-entering the dispatch
-  loop.  Adjacent integer-compare + ``BEQZ/BNEZ`` pairs additionally
-  fuse into a single Python comparison.
+  services) and of the TEST local-variable annotations ``LWL/SWL``.
+  One dispatch executes the whole run and, when the run ends in a
+  branch, the branch is absorbed ("fused") into the same function —
+  the hot ``ADDI+BLT`` / ``SLT+BNEZ`` inductor idioms the codegen
+  emits constantly execute without re-entering the dispatch loop.
+  Adjacent integer-compare + ``BEQZ/BNEZ`` pairs additionally fuse
+  into a single Python comparison.
 * **specialised singletons** — hand-written closures for the hot
   non-batchable ops (``LW/SW/LWNV``, ``CALL``, ``RET``, ``INTRIN`` and
-  the TEST annotation ops) with operands pre-bound, so the per-step
-  work is exactly the semantic action plus cycle accounting.
+  the TEST loop annotations ``SLOOP/EOI/ELOOP``) with operands
+  pre-bound, so the per-step work is exactly the semantic action plus
+  cycle accounting.
 * **legacy fallback** — everything rare (ALLOC, CALLV, locks, TLS
   pseudo-ops, …) delegates to ``CpuContext.step_legacy``, the original
   ``if/elif`` interpreter, which stays the single source of truth for
@@ -33,6 +35,23 @@ same cost model, ``ctx.time``/``ctx.compute_cycles`` for a raising
 instruction's *predecessors* are flushed before the raise, and
 ``ctx.current_site`` / profiler hook arguments are bound to
 content-identical ``(unit_name, instr)`` tuples.
+
+Inline ``LWL/SWL``
+------------------
+A block holding ``LWL``/``SWL`` does the work of
+:meth:`~repro.tracer.profiler.TestProfiler.on_lwl` / ``on_swl`` inline.
+It reads ``ctx.machine.profiler`` once, looks each named loop up once
+in the profiler's ``innermost`` activation map (no loop is entered or
+left inside a block), then per annotation writes (``SWL``) or compares
+(``LWL``) the activation's ``locals`` timestamp.  The clock value is
+``ctx.time`` plus the cycles of the block's preceding instructions —
+exactly what ``step_legacy`` passes to the hook.  ``events`` is bumped
+by the number of annotations executed, at block exit or before a
+raise.  The one call-out, ``carried_local``, happens only when the
+stored timestamp predates the bank's current thread, the only case in
+which a dependence arc can be recorded.  Annotated code runs only on
+the sequential path, so the TLS tables and run-ahead cost maps never
+see these ops.
 
 Two table granularities exist per code unit:
 
@@ -59,10 +78,11 @@ from ..errors import (ArithmeticException, ArrayIndexException,
                       NullPointerException)
 from ..jit.ir import BRANCH_IR_OPS, IROp
 
-#: Ops a block function may contain: pure register/ALU work with no
-#: memory traffic, no signals, no runtime services and no profiler
-#: hooks.  Raising ops (DIV/REM/NULLCHK/BOUNDCHK) are included — their
-#: raise paths flush pc/instret/time before raising (see module doc).
+#: Pure register/ALU ops: no memory traffic, no signals, no runtime
+#: services and no profiler hooks.  Raising ops (DIV/REM/NULLCHK/
+#: BOUNDCHK) are included — their raise paths flush pc/instret/time
+#: before raising (see module doc).  Block functions may additionally
+#: hold the inlined ``LWL``/``SWL`` annotations (:data:`_BLOCK_IR_OPS`).
 BATCHABLE_IR_OPS = frozenset({
     IROp.LI, IROp.MOV, IROp.ADD, IROp.ADDI, IROp.SUB, IROp.MUL, IROp.DIV,
     IROp.REM, IROp.NEG, IROp.AND, IROp.OR, IROp.XOR, IROp.SHL, IROp.SHR,
@@ -79,8 +99,11 @@ _COSTS = {
     IROp.DIV: 12, IROp.REM: 12, IROp.FDIV: 12, IROp.FREM: 12,
 }
 
-_ANNOTATION_OPS = frozenset({IROp.SLOOP, IROp.EOI, IROp.ELOOP,
-                             IROp.LWL, IROp.SWL})
+#: Ops a block function may contain (see "Inline LWL/SWL" above).
+_LOCAL_ANNOTATION_OPS = frozenset({IROp.LWL, IROp.SWL})
+_BLOCK_IR_OPS = BATCHABLE_IR_OPS | _LOCAL_ANNOTATION_OPS
+
+_ANNOTATION_OPS = frozenset({IROp.SLOOP, IROp.EOI, IROp.ELOOP})
 
 #: Ops the event-driven TLS scheduler may execute during *run-ahead*
 #: (see ``repro.tls.runtime``): instructions whose effects are confined
@@ -229,7 +252,7 @@ def build_table(code, unit_name, extra_leaders=(), stepwise=False):
                 if isinstance(instr.target, int):
                     leaders.add(instr.target)
                 leaders.add(pc + 1)
-            elif op not in BATCHABLE_IR_OPS:
+            elif op not in _BLOCK_IR_OPS:
                 leaders.add(pc + 1)
         for pc in extra_leaders:
             if pc is not None:
@@ -241,7 +264,7 @@ def build_table(code, unit_name, extra_leaders=(), stepwise=False):
     block_names = {}
     for pc in sorted(leaders):
         op = code[pc].op
-        if op in BATCHABLE_IR_OPS or op in BRANCH_IR_OPS:
+        if op in _BLOCK_IR_OPS or op in BRANCH_IR_OPS:
             name, lines = _gen_block(code, pc, leaders, consts)
             block_names[pc] = name
             sources.append("\n".join(lines))
@@ -258,9 +281,12 @@ def build_table(code, unit_name, extra_leaders=(), stepwise=False):
     }
     for index, value in enumerate(consts):
         ns["K%d" % index] = value
-    if sources:
-        exec(compile("\n\n".join(sources),
-                     "<ir-engine:%s>" % unit_name, "exec"), ns)
+    # One compile() per block: compile's transient memory grows with the
+    # source it is given, and a whole unit's blocks at once set the
+    # process's peak RSS.
+    filename = "<ir-engine:%s>" % unit_name
+    for source in sources:
+        exec(compile(source, filename, "exec"), ns)
 
     table = [None] * n
     for pc, instr in enumerate(code):
@@ -300,7 +326,7 @@ def _legacy(ctx, frame):
 # ---------------------------------------------------------------------------
 
 def _block_span(code, start, leaders):
-    """Consecutive batchable pcs from *start*, plus an absorbed branch
+    """Consecutive block-op pcs from *start*, plus an absorbed branch
     pc (or None).  A leader interior to the scan ends the block before
     it — some other block jumps there, so it needs its own entry."""
     pcs = []
@@ -312,7 +338,7 @@ def _block_span(code, start, leaders):
         op = code[i].op
         if op in BRANCH_IR_OPS:
             return pcs, i
-        if op not in BATCHABLE_IR_OPS:
+        if op not in _BLOCK_IR_OPS:
             return pcs, None
         pcs.append(i)
         i += 1
@@ -343,6 +369,7 @@ def _gen_block(code, start, leaders, consts):
     name = "_b%d" % start
     lines = ["def %s(ctx, frame):" % name,
              "    regs = frame.regs"]
+    loops = _local_annotation_prologue(code, pcs, lines, consts)
     temp = [0]
 
     def fresh():
@@ -350,6 +377,7 @@ def _gen_block(code, start, leaders, consts):
         return "_t%d" % temp[0]
 
     cost_done = 0                       # cycles of fully-executed instrs
+    events = 0                          # LWL/SWL executed so far
     for pc in pcs:
         instr = code[pc]
         op = instr.op
@@ -379,7 +407,7 @@ def _gen_block(code, start, leaders, consts):
                        else ("irem", "% by zero"))
             lines.append("    %s = regs[%d]" % (t, b))
             lines.append("    if %s == 0:" % t)
-            lines.extend(_raise_flush(start, pc, cost_done))
+            lines.extend(_raise_flush(start, pc, cost_done, events))
             lines.append("        raise ArithmeticException(%r)" % msg)
             lines.append("    regs[%d] = %s(regs[%d], %s)"
                          % (d, fn, a, t))
@@ -456,20 +484,25 @@ def _gen_block(code, start, leaders, consts):
             lines.append("    regs[%d] = f2i(regs[%d])" % (d, a))
         elif op == IROp.NULLCHK:
             lines.append("    if regs[%d] == 0:" % a)
-            lines.extend(_raise_flush(start, pc, cost_done))
+            lines.extend(_raise_flush(start, pc, cost_done, events))
             lines.append("        raise NullPointerException(UNIT_NAME)")
         elif op == IROp.BOUNDCHK:
             ti, tn = fresh(), fresh()
             lines.append("    %s = regs[%d]" % (ti, a))
             lines.append("    %s = regs[%d]" % (tn, b))
             lines.append("    if %s < 0 or %s >= %s:" % (ti, ti, tn))
-            lines.extend(_raise_flush(start, pc, cost_done))
+            lines.extend(_raise_flush(start, pc, cost_done, events))
             lines.append("        raise ArrayIndexException("
                          "'index %%d, length %%d' %% (%s, %s))" % (ti, tn))
+        elif op in _LOCAL_ANNOTATION_OPS:
+            lines.extend(_inline_local_annotation(
+                instr, loops[instr.aux], cost_done, consts))
+            events += 1
         else:                            # pragma: no cover - guarded above
             raise AssertionError("non-batchable op in block: %s" % op)
         cost_done += _COSTS.get(op, 1)
 
+    lines.extend(_count_events(events, "    "))
     if branch_pc is None:
         count = len(pcs)
         end_pc = start + count
@@ -499,7 +532,58 @@ def _gen_block(code, start, leaders, consts):
     return name, lines
 
 
-def _raise_flush(start, pc, cost_done):
+def _local_annotation_prologue(code, pcs, lines, consts):
+    """Bind the profiler and, per loop the block's ``LWL``/``SWL`` name,
+    its innermost activation ``_aN`` and that activation's bank ``_kN``
+    (each None when absent).  Loops are entered and left, and banks
+    stolen, only at ``SLOOP``/``ELOOP`` — never inside a block — so one
+    lookup serves the whole block.  Returns ``{loop_id: N}``."""
+    loops = {}
+    for pc in pcs:
+        instr = code[pc]
+        if instr.op in _LOCAL_ANNOTATION_OPS and instr.aux not in loops:
+            loops[instr.aux] = len(loops)
+    if loops:
+        lines.append("    prof = ctx.machine.profiler")
+        lines.append("    if prof is not None:")
+        lines.append("        innermost = prof.innermost")
+        for loop_id, n in loops.items():
+            lines.append("        _a%d = innermost.get(%s)"
+                         % (n, _const(loop_id, consts)))
+            lines.append("        _k%d = _a%d.bank if _a%d is not None"
+                         " else None" % (n, n, n))
+        lines.append("    else:")
+        lines.append("        %s = None" % " = ".join(
+            "_a%d = _k%d" % (n, n) for n in loops.values()))
+    return loops
+
+
+def _inline_local_annotation(instr, n, cost_done, consts):
+    """Inline ``TestProfiler.on_swl`` / ``on_lwl`` for one annotation of
+    the loop bound to ``_aN``/``_kN`` by the prologue (see "Inline
+    LWL/SWL" in the module doc); ``events`` is counted by
+    :func:`_count_events`."""
+    slot = _const(instr.imm, consts)
+    now = "ctx.time + %d" % cost_done if cost_done else "ctx.time"
+    if instr.op == IROp.SWL:
+        return ["    if _a%d is not None:" % n,
+                "        _a%d.locals[%s] = %s" % (n, slot, now)]
+    return ["    if _k%d is not None:" % n,
+            "        ts = _a%d.locals.get(%s)" % (n, slot),
+            "        if ts is not None and ts < _k%d.thread_start:" % n,
+            "            prof.carried_local(_k%d, %s, %s, ts, %s)"
+            % (n, _const(instr.aux, consts), slot, now)]
+
+
+def _count_events(events, indent):
+    """Lines adding *events* executed ``LWL``/``SWL`` to the profiler."""
+    if not events:
+        return []
+    return [indent + "if prof is not None:",
+            indent + "    prof.events += %d" % events]
+
+
+def _raise_flush(start, pc, cost_done, events):
     """Flush lines (8-space indent) before a raise at *pc*: the legacy
     dispatcher increments pc/instret before executing, so the raising
     instruction is counted, while its cycle cost is not yet added."""
@@ -508,6 +592,7 @@ def _raise_flush(start, pc, cost_done):
     if cost_done:
         out.append("        ctx.time += %d" % cost_done)
         out.append("        ctx.compute_cycles += %d" % cost_done)
+    out.extend(_count_events(events, "        "))
     return out
 
 
@@ -699,9 +784,9 @@ def _make_intrin(instr, pc):
 
 
 def _make_annotation(instr, pc):
-    """TEST annotation ops (Table 2): profiler hook + 1 cycle.  The
-    hook sees ``ctx.time`` *before* the cycle is charged, exactly like
-    the legacy arms."""
+    """TEST loop annotation ops (Table 2): profiler hook + 1 cycle.
+    The hook sees ``ctx.time`` *before* the cycle is charged, exactly
+    like the legacy arms.  ``LWL``/``SWL`` are inlined into blocks."""
     op = instr.op
     aux = instr.aux
     imm = instr.imm
@@ -729,36 +814,14 @@ def _make_annotation(instr, pc):
             ctx.compute_cycles += 1
             return None
         return eoi
-    if op == IROp.ELOOP:
-        def eloop(ctx, frame):
-            frame.pc = next_pc
-            ctx.instret += 1
-            profiler = ctx.machine.profiler
-            if profiler is not None:
-                profiler.on_eloop(aux, ctx.time)
-            ctx.time += 1
-            ctx.compute_cycles += 1
-            return None
-        return eloop
-    if op == IROp.LWL:
-        def lwl(ctx, frame):
-            frame.pc = next_pc
-            ctx.instret += 1
-            profiler = ctx.machine.profiler
-            if profiler is not None:
-                profiler.on_lwl(aux, imm, ctx.time, instr)
-            ctx.time += 1
-            ctx.compute_cycles += 1
-            return None
-        return lwl
 
-    def swl(ctx, frame):
+    def eloop(ctx, frame):
         frame.pc = next_pc
         ctx.instret += 1
         profiler = ctx.machine.profiler
         if profiler is not None:
-            profiler.on_swl(aux, imm, ctx.time, instr)
+            profiler.on_eloop(aux, ctx.time)
         ctx.time += 1
         ctx.compute_cycles += 1
         return None
-    return swl
+    return eloop

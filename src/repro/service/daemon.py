@@ -83,12 +83,17 @@ class JrpmServer:
     async def start(self):
         """Bind the socket and start accepting connections."""
         self._done = asyncio.Event()
+        # asyncio's default 64 KiB line limit would reject legitimate
+        # frames long before the protocol's own cap does.
+        limit = protocol.MAX_LINE_BYTES
         if self.socket_path is not None:
             self._server = await asyncio.start_unix_server(
-                self._handle_connection, path=self.socket_path)
+                self._handle_connection, path=self.socket_path,
+                limit=limit)
         else:
             self._server = await asyncio.start_server(
-                self._handle_connection, host=self.host, port=self.port)
+                self._handle_connection, host=self.host, port=self.port,
+                limit=limit)
             self.port = self._server.sockets[0].getsockname()[1]
         if self.metrics_port is not None:
             self.metrics_server = MetricsHttpServer(
@@ -161,7 +166,16 @@ class JrpmServer:
             while True:
                 try:
                     line = await reader.readline()
-                except (ConnectionResetError, asyncio.LimitOverrunError):
+                except ConnectionResetError:
+                    break
+                except ValueError:
+                    # Over-limit frame: the rest of the line is still in
+                    # flight, so the stream cannot be resynchronised.
+                    # Answer with a typed error, then close.
+                    error = protocol.make_error(
+                        None, "protocol",
+                        "frame exceeds %d bytes" % protocol.MAX_LINE_BYTES)
+                    await self._write_frame(writer, write_lock, error)
                     break
                 if not line:
                     break
@@ -200,9 +214,13 @@ class JrpmServer:
                 "%s: %s" % (type(error).__name__, error))
         ok = bool(response.get("ok"))
         self.stats.observe(verb, time.perf_counter() - started, ok=ok)
+        await self._write_frame(writer, write_lock, response)
+
+    @staticmethod
+    async def _write_frame(writer, write_lock, frame):
         async with write_lock:
             try:
-                writer.write(protocol.encode_frame(response))
+                writer.write(protocol.encode_frame(frame))
                 await writer.drain()
             except (ConnectionResetError, OSError):
                 pass                     # client went away mid-reply

@@ -82,12 +82,17 @@ class ComparatorBank:
 class ActiveLoop:
     """One dynamic activation of a prospective STL."""
 
-    __slots__ = ("loop_id", "instance_id", "bank")
+    __slots__ = ("loop_id", "stats", "bank", "shadow", "locals")
 
-    def __init__(self, loop_id, instance_id, bank):
+    def __init__(self, loop_id, stats, shadow):
         self.loop_id = loop_id
-        self.instance_id = instance_id
-        self.bank = bank
+        self.stats = stats
+        self.bank = None
+        #: next-outer activation of the same loop (recursive re-entry),
+        #: restored as the innermost one when this activation exits
+        self.shadow = shadow
+        #: slot -> timestamp of this activation's latest ``swl``
+        self.locals = {}
 
 
 class TestProfiler:
@@ -105,11 +110,11 @@ class TestProfiler:
         self.trace = trace
         self.stats = {}               # loop_id -> LoopStats
         self.active = []              # stack of ActiveLoop
+        self.innermost = {}           # loop_id -> innermost ActiveLoop
+        self.banks = []               # banks of self.active, in order
         self.banks_in_use = 0
         self.store_ts = {}            # word addr -> (ts, site_key)
         self.line_ts = {}             # line -> ts
-        self.local_ts = {}            # (instance_id, slot) -> (ts, site_key)
-        self._next_instance = 1
         self.events = 0
         self.bank_steals = 0
         self.missed_allocations = 0
@@ -135,9 +140,8 @@ class TestProfiler:
         for active in self.active:
             if active.bank is None:
                 continue
-            stats = self.stats_for(active.loop_id)
+            stats = active.stats
             if stats.threads >= 3 and stats.overflow_frequency > 0.9:
-                bank = active.bank
                 active.bank = None
                 self.bank_steals += 1
                 if self.trace is not None:
@@ -151,18 +155,18 @@ class TestProfiler:
     # -- loop events ----------------------------------------------------------
     def on_sloop(self, loop_id, nslots, now):
         self.events += 1
-        instance_id = self._next_instance
-        self._next_instance += 1
         for outer in self.active:
             self.dynamic_nesting.add((outer.loop_id, loop_id))
         if len(self.active) + 1 > self.max_dynamic_depth:
             self.max_dynamic_depth = len(self.active) + 1
-        active = ActiveLoop(loop_id, instance_id, None)
+        stats = self.stats_for(loop_id)
+        active = ActiveLoop(loop_id, stats, self.innermost.get(loop_id))
         active.bank = self._allocate_bank(active, now)
         self.active.append(active)
+        self.innermost[loop_id] = active
+        self._collect_banks()
         if self.trace is not None:
             self.trace.profile_loop(now, loop_id, "enter")
-        stats = self.stats_for(loop_id)
         stats.entries += 1
         if active.bank is not None:
             stats.profiled_entries += 1
@@ -171,29 +175,35 @@ class TestProfiler:
 
     def on_eoi(self, loop_id, now):
         self.events += 1
-        active = self._find_active(loop_id)
+        active = self.innermost.get(loop_id)
         if active is None:
             return
-        stats = self.stats_for(loop_id)
-        stats.total_iterations += 1
-        if active.bank is None:
-            return
-        self._finish_thread(stats, active.bank, now)
+        active.stats.total_iterations += 1
+        if active.bank is not None:
+            self._finish_thread(active.stats, active.bank, now)
 
     def on_eloop(self, loop_id, now):
         self.events += 1
-        active = self._find_active(loop_id)
+        active = self.innermost.get(loop_id)
         if active is None:
             return
         # Count the final (possibly partial) thread.
         if active.bank is not None:
-            stats = self.stats_for(loop_id)
-            stats.total_iterations += 1
-            self._finish_thread(stats, active.bank, now)
+            active.stats.total_iterations += 1
+            self._finish_thread(active.stats, active.bank, now)
             self.banks_in_use -= 1
         if self.trace is not None:
             self.trace.profile_loop(now, loop_id, "exit")
+        if active.shadow is None:
+            del self.innermost[loop_id]
+        else:
+            self.innermost[loop_id] = active.shadow
         self.active.remove(active)
+        self._collect_banks()
+
+    def _collect_banks(self):
+        self.banks = [active.bank for active in self.active
+                      if active.bank is not None]
 
     def _finish_thread(self, stats, bank, now):
         size, loads, stores, critical, critical_arc = bank.boundary(now)
@@ -201,8 +211,10 @@ class TestProfiler:
         stats.total_thread_cycles += size
         stats.sum_load_lines += loads
         stats.sum_store_lines += stores
-        stats.max_load_lines = max(stats.max_load_lines, loads)
-        stats.max_store_lines = max(stats.max_store_lines, stores)
+        if loads > stats.max_load_lines:
+            stats.max_load_lines = loads
+        if stores > stats.max_store_lines:
+            stats.max_store_lines = stores
         if (loads > self.config.load_buffer_lines
                 or stores > self.config.store_buffer_lines):
             stats.overflow_threads += 1
@@ -216,28 +228,27 @@ class TestProfiler:
                     critical, length, distance, allocator=is_allocator,
                     store_offset=store_offset)
 
-    def _find_active(self, loop_id):
-        for active in reversed(self.active):
-            if active.loop_id == loop_id:
-                return active
-        return None
-
     # -- memory events -----------------------------------------------------------
     def on_load(self, addr, now, site):
         self.events += 1
         if not self.active:
             return
         entry = self.store_ts.get(addr)
+        # -1 predates every timestamp: no prior store / untouched line.
+        store_ts = entry[0] if entry is not None else -1
         line = addr >> CACHE_LINE_SHIFT
-        line_time = self.line_ts.get(line)
-        for active in self.active:
-            bank = active.bank
-            if bank is None:
-                continue
-            if line_time is None or line_time < bank.thread_start:
+        line_time = self.line_ts.get(line, -1)
+        load_key = None
+        for bank in self.banks:
+            thread_start = bank.thread_start
+            if line_time < thread_start:
                 bank.load_lines.add(line)
-            if entry is not None:
-                self._check_dependency(bank, entry, now, _site_key(site),
+            # Only a store inside this loop instance but before the
+            # current thread can be a carried dependence.
+            if bank.entry_ts <= store_ts < thread_start:
+                if load_key is None:
+                    load_key = _site_key(site)
+                self._check_dependency(bank, entry, now, load_key,
                                        addr=addr)
         self.line_ts[line] = now
 
@@ -245,12 +256,9 @@ class TestProfiler:
         self.events += 1
         if self.active:
             line = addr >> CACHE_LINE_SHIFT
-            line_time = self.line_ts.get(line)
-            for active in self.active:
-                bank = active.bank
-                if bank is None:
-                    continue
-                if line_time is None or line_time < bank.thread_start:
+            line_time = self.line_ts.get(line, -1)
+            for bank in self.banks:
+                if line_time < bank.thread_start:
                     bank.store_lines.add(line)
             self.line_ts[line] = now
         self.store_ts[addr] = (now, _site_key(site))
@@ -279,20 +287,26 @@ class TestProfiler:
     # -- local variable events --------------------------------------------------
     # Carried locals are identified by (loop, slot), which the STL
     # recompiler can map straight back to the communicated variable.
+    # The engine's block functions inline both handlers (see
+    # ``repro.engine.ir_engine``); keep the two in step.
     def on_swl(self, loop_id, slot, now, site):
         self.events += 1
-        active = self._find_active(loop_id)
-        if active is None:
-            return
-        key = ("local", loop_id, slot)
-        self.local_ts[(active.instance_id, slot)] = (now, key)
+        active = self.innermost.get(loop_id)
+        if active is not None:
+            active.locals[slot] = now
 
     def on_lwl(self, loop_id, slot, now, site):
         self.events += 1
-        active = self._find_active(loop_id)
+        active = self.innermost.get(loop_id)
         if active is None or active.bank is None:
             return
-        entry = self.local_ts.get((active.instance_id, slot))
-        if entry is not None:
-            self._check_dependency(active.bank, entry, now,
-                                   ("local", loop_id, slot))
+        store_ts = active.locals.get(slot)
+        # A local written in the current thread is intra-thread.
+        if store_ts is not None and store_ts < active.bank.thread_start:
+            self.carried_local(active.bank, loop_id, slot, store_ts, now)
+
+    def carried_local(self, bank, loop_id, slot, store_ts, now):
+        """Dependence check for an ``lwl`` whose slot was last written
+        by an earlier thread of the same activation."""
+        key = ("local", loop_id, slot)
+        self._check_dependency(bank, (store_ts, key), now, key)

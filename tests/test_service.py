@@ -244,6 +244,57 @@ def test_protocol_version_mismatch_is_rejected(service):
         raw.close()
 
 
+def _padded_bitops_source(target_bytes):
+    """BitOps (small) followed by comment lines up to *target_bytes*."""
+    from repro.workloads import lookup
+    source = lookup("BitOps").source("small")
+    pad = "// " + "x" * 76 + "\n"
+    count = max(0, target_bytes - len(source)) // len(pad) + 1
+    return source + pad * count
+
+
+def test_long_run_frame_gets_a_normal_reply(service):
+    """An ~85 KB request line (well past asyncio's 64 KiB default
+    stream limit, well under MAX_LINE_BYTES) is served normally."""
+    source = _padded_bitops_source(85_000)
+    with service.client() as client:
+        payload = client.job_payload(source, name="BitOps")
+        assert len(protocol.encode_frame(
+            protocol.make_request("r", "run", payload))) > 85_000
+        report = client.run(source, name="BitOps")
+        assert isinstance(report, JrpmReport)
+        assert report.outputs_match()
+
+
+def test_over_limit_frame_gets_a_typed_protocol_error(tmp_path,
+                                                      monkeypatch):
+    monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 4096)
+    fixture = ServiceFixture(tmp_path)
+    raw = socket_module.socket(socket_module.AF_UNIX,
+                               socket_module.SOCK_STREAM)
+    raw.settimeout(10.0)
+    try:
+        raw.connect(fixture.socket_path)
+        frame = protocol.make_request("big", "ping",
+                                      {"pad": "x" * 10_000})
+        raw.sendall(protocol.encode_frame(frame))
+        reader = raw.makefile("rb")
+        response = protocol.decode_frame(reader.readline())
+        assert response["ok"] is False
+        assert response["error"]["kind"] == "protocol"
+        assert "4096" in response["error"]["message"]
+        try:                                 # then the daemon hangs up
+            tail = reader.readline()
+        except ConnectionResetError:         # it closed with bytes unread
+            tail = b""
+        assert tail == b""
+        with fixture.client() as client:     # and keeps serving others
+            assert client.ping()["pong"] is True
+    finally:
+        raw.close()
+        fixture.stop()
+
+
 # ---------------------------------------------------------------------------
 # graceful drain
 # ---------------------------------------------------------------------------

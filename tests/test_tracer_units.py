@@ -151,3 +151,107 @@ class TestProfilerEventPlumbing:
             profiler.on_eloop(loop_id, 100 + loop_id)
         assert profiler.banks_in_use == 0
         assert not profiler.active
+
+
+class TestActivationMap:
+    """``innermost`` maps a loop id to its innermost activation; each
+    activation shadows the next-outer activation of the same loop."""
+
+    def make(self):
+        return TestProfiler(HydraConfig())
+
+    def test_recursive_reentry_keeps_outer_carried_local(self):
+        profiler = self.make()
+        profiler.on_sloop(1, 1, 0)
+        profiler.on_swl(1, 0, 9, None)          # outer thread 0 writes
+        profiler.on_eoi(1, 10)
+        outer = profiler.innermost[1]
+        profiler.on_sloop(1, 1, 11)             # recursive re-entry
+        inner = profiler.innermost[1]
+        assert inner is not outer and inner.shadow is outer
+        profiler.on_lwl(1, 0, 12, None)         # inner never wrote slot 0
+        profiler.on_swl(1, 0, 13, None)
+        assert outer.locals == {0: 9}
+        profiler.on_eloop(1, 15)
+        assert profiler.innermost[1] is outer
+        assert outer.locals == {0: 9}
+        profiler.on_lwl(1, 0, 16, None)         # outer thread 1 reads
+        profiler.on_eoi(1, 20)
+        profiler.on_eloop(1, 21)
+        assert 1 not in profiler.innermost and not profiler.active
+        stats = profiler.stats[1]
+        assert stats.arc_threads == 1
+        (store_site, load_site), arc = stats.dominant_arc()
+        assert store_site == load_site == ("local", 1, 0)
+        assert arc.min_distance == 1
+
+    def test_local_events_for_inactive_loop_are_counted_only(self):
+        profiler = self.make()
+        profiler.on_sloop(1, 1, 0)
+        profiler.on_swl(2, 0, 3, None)
+        profiler.on_lwl(2, 0, 4, None)
+        assert profiler.events == 3
+        assert 2 not in profiler.stats and 2 not in profiler.innermost
+        assert profiler.innermost[1].locals == {}
+
+    def test_eloop_without_sloop_is_ignored(self):
+        profiler = self.make()
+        profiler.on_sloop(1, 0, 0)
+        profiler.on_eloop(7, 5)
+        assert profiler.events == 2
+        assert [a.loop_id for a in profiler.active] == [1]
+        assert profiler.banks_in_use == 1
+        assert 7 not in profiler.stats
+
+    def test_stale_activation_left_by_exception(self):
+        """A guest exception can leave a loop without its ELOOP.  The
+        stale activation stays active, keeps its bank and locals, is
+        the one its loop id resolves to, and is shadowed (not replaced)
+        by a later activation of the same loop."""
+        profiler = self.make()
+        profiler.on_sloop(1, 0, 0)
+        profiler.on_sloop(2, 1, 1)
+        profiler.on_swl(2, 0, 2, None)
+        profiler.on_eoi(2, 3)
+        stale = profiler.innermost[2]
+        profiler.on_eloop(1, 4)                  # unwound past loop 2
+        assert profiler.active == [stale]
+        assert profiler.banks_in_use == 1
+        profiler.on_sloop(2, 1, 5)               # same loop, entered anew
+        fresh = profiler.innermost[2]
+        assert fresh.shadow is stale and fresh.locals == {}
+        profiler.on_lwl(2, 0, 6, None)           # fresh: nothing carried
+        profiler.on_eloop(2, 7)
+        assert profiler.innermost[2] is stale
+        assert profiler.stats[2].arc_threads == 0
+        profiler.on_lwl(2, 0, 8, None)           # stale: carried from t=2
+        profiler.on_eoi(2, 9)
+        assert profiler.stats[2].arc_threads == 1
+        assert profiler.active == [stale]
+
+    def test_local_state_is_released_on_eloop(self):
+        import gc
+        import types
+
+        def reachable(root):
+            seen, stack = set(), [root]
+            while stack:
+                obj = stack.pop()
+                if id(obj) in seen or isinstance(
+                        obj, (type, types.ModuleType, types.FunctionType)):
+                    continue
+                seen.add(id(obj))
+                stack.extend(gc.get_referents(obj))
+            return seen
+
+        profiler = self.make()
+        released = []
+        for k in range(50):
+            profiler.on_sloop(1, 8, 100 * k)
+            for slot in range(8):
+                profiler.on_swl(1, slot, 100 * k + slot + 1, None)
+            released.append(profiler.innermost[1].locals)
+            profiler.on_eloop(1, 100 * k + 50)
+        assert not profiler.active and not profiler.innermost
+        live = reachable(profiler)
+        assert not any(id(slots) in live for slots in released)
