@@ -15,15 +15,20 @@ into a list indexed by pc whose entries are handler closures
   emits constantly execute without re-entering the dispatch loop.
   Adjacent integer-compare + ``BEQZ/BNEZ`` pairs additionally fuse
   into a single Python comparison.
-* **specialised singletons** — hand-written closures for the hot
-  non-batchable ops (``LW/SW/LWNV``, ``CALL``, ``RET``, ``INTRIN`` and
-  the TEST loop annotations ``SLOOP/EOI/ELOOP``) with operands
-  pre-bound, so the per-step work is exactly the semantic action plus
-  cycle accounting.
-* **legacy fallback** — everything rare (ALLOC, CALLV, locks, TLS
-  pseudo-ops, …) delegates to ``CpuContext.step_legacy``, the original
-  ``if/elif`` interpreter, which stays the single source of truth for
-  those semantics.
+* **specialised singletons** — hand-written closures for every
+  non-batchable op: the hot ones (``LW/SW/LWNV``, ``CALL``, ``RET``,
+  ``INTRIN`` and the TEST loop annotations ``SLOOP/EOI/ELOOP``) and the
+  rare runtime-service and TLS ops (``ALLOC``, ``CALLV``,
+  ``MONENTER/MONEXIT``, ``TRAP``, ``STL_RUN``, ``STL_EOI_END``,
+  ``STL_EXIT``, ``WAITLOCK``, ``SIGNAL``, ``FORCE_RESET``), with
+  operands pre-bound, so the per-step work is exactly the semantic
+  action plus cycle accounting.  The rare ones call the same
+  ``CpuContext._do_*`` helpers as ``CpuContext.step_legacy``.
+* **block interiors** — the pcs inside a batched block, which no
+  execution path reaches, get an entry that raises ``VMError``.
+
+No table routes a pc through ``step_legacy``; the ``if/elif``
+interpreter is only the ``HydraConfig(fastpath=False)`` oracle.
 
 Cycle exactness
 ---------------
@@ -75,7 +80,7 @@ import math
 
 from ..bytecode.instructions import f2i, i32, idiv, irem, u32
 from ..errors import (ArithmeticException, ArrayIndexException,
-                      NullPointerException)
+                      GuestException, NullPointerException, VMError)
 from ..jit.ir import BRANCH_IR_OPS, IROp
 
 #: Pure register/ALU ops: no memory traffic, no signals, no runtime
@@ -309,16 +314,22 @@ def build_table(code, unit_name, extra_leaders=(), stepwise=False):
             table[pc] = _make_intrin(instr, pc)
         elif op in _ANNOTATION_OPS:
             table[pc] = _make_annotation(instr, pc)
+        elif op in _BLOCK_IR_OPS or op in BRANCH_IR_OPS:
+            table[pc] = _block_interior
         else:
-            # Rare runtime-service / TLS ops, plus the (normally
-            # unreachable) interiors of batched blocks: delegate to the
-            # legacy if/elif dispatcher, the source of truth.
-            table[pc] = _legacy
+            table[pc] = _RARE_HANDLERS.get(op, _make_unhandled)(
+                instr, pc, unit_name)
     return table
 
 
-def _legacy(ctx, frame):
-    return ctx.step_legacy()
+def _block_interior(ctx, frame):
+    """Entry for a pc inside a batched block.  No execution path lands
+    there: frames start at pc 0, calls return and branches jump to
+    leaders, commits re-enter at a warm entry (a leader), and a TLS
+    truncation replay that stops mid-block is always followed by the
+    thread's restart at pc 0."""
+    raise VMError("%s: pc %d is inside a batched block"
+                  % (frame.name, frame.pc))
 
 
 # ---------------------------------------------------------------------------
@@ -825,3 +836,164 @@ def _make_annotation(instr, pc):
         ctx.compute_cycles += 1
         return None
     return eloop
+
+
+# ---------------------------------------------------------------------------
+# rare runtime-service and TLS pseudo-op handlers
+# ---------------------------------------------------------------------------
+# Each mirrors its ``CpuContext.step_legacy`` arm: pc and instret advance
+# first, the semantic action reuses the ``CpuContext._do_*`` helper, and
+# the returned cost is charged to ``time`` and ``compute_cycles``.
+
+def _make_alloc(instr, pc, unit_name):
+    a, imm = instr.a, instr.imm
+    site = (unit_name, instr)
+    next_pc = pc + 1
+
+    def alloc(ctx, frame):
+        frame.pc = next_pc
+        ctx.instret += 1
+        ctx.current_site = site
+        cost = ctx._do_alloc(instr, frame.regs[a] if a is not None else imm)
+        ctx.time += cost
+        ctx.compute_cycles += cost
+        return None
+    return alloc
+
+
+def _make_callv(instr, pc, unit_name):
+    next_pc = pc + 1
+
+    def callv(ctx, frame):
+        frame.pc = next_pc
+        ctx.instret += 1
+        cost = ctx._do_callv(instr, frame.regs)
+        ctx.time += cost
+        ctx.compute_cycles += cost
+        return None
+    return callv
+
+
+def _make_monitor(instr, pc, unit_name):
+    a, imm = instr.a, instr.imm
+    enter = instr.op == IROp.MONENTER
+    site = (unit_name, instr)
+    next_pc = pc + 1
+
+    def monitor(ctx, frame):
+        frame.pc = next_pc
+        ctx.instret += 1
+        ctx.current_site = site
+        locks = ctx.machine.locks
+        if a is None:
+            addr = imm
+        else:
+            addr = frame.regs[a]
+            if enter and addr == 0:
+                raise NullPointerException("monitorenter")
+        if enter:
+            cost = locks.enter(ctx.mem, addr, ctx.spec is not None)
+        else:
+            cost = locks.leave(ctx.mem, addr, ctx.spec is not None)
+        ctx.time += cost
+        ctx.compute_cycles += cost
+        return None
+    return monitor
+
+
+def _make_trap(instr, pc, unit_name):
+    kind = instr.aux or "Trap"
+    next_pc = pc + 1
+
+    def trap(ctx, frame):
+        frame.pc = next_pc
+        ctx.instret += 1
+        raise GuestException(kind)
+    return trap
+
+
+def _make_stl_run(instr, pc, unit_name):
+    descriptor, dst = instr.aux, instr.dst
+    next_pc = pc + 1
+
+    def stl_run(ctx, frame):
+        frame.pc = next_pc
+        ctx.instret += 1
+        frame.regs[dst] = ctx.machine.tls_runtime.run_stl(ctx, descriptor)
+        return None                     # STL_RUN itself costs 0 cycles
+    return stl_run
+
+
+def _make_thread_end(instr, pc, unit_name):
+    """``STL_EOI_END`` / ``STL_EXIT``: one cycle, then the signal the
+    TLS scheduler acts on."""
+    signal = "eoi" if instr.op == IROp.STL_EOI_END else "exit"
+    next_pc = pc + 1
+
+    def thread_end(ctx, frame):
+        frame.pc = next_pc
+        ctx.instret += 1
+        ctx.time += 1
+        ctx.compute_cycles += 1
+        return signal
+    return thread_end
+
+
+def _make_waitlock(instr, pc, unit_name):
+    next_pc = pc + 1
+
+    def waitlock(ctx, frame):
+        frame.pc = next_pc              # the runtime rewinds it to spin
+        ctx.instret += 1
+        return "wait"
+    return waitlock
+
+
+def _make_signal(instr, pc, unit_name):
+    next_pc = pc + 1
+
+    def signal(ctx, frame):
+        # Like step_legacy, leaves ctx.current_site untouched: a
+        # violation this store raises keeps the previous memory op as
+        # its source site.
+        frame.pc = next_pc
+        ctx.instret += 1
+        cost = ctx._do_signal(instr, frame.regs)
+        ctx.time += cost
+        ctx.compute_cycles += cost
+        return None
+    return signal
+
+
+def _make_force_reset(instr, pc, unit_name):
+    next_pc = pc + 1
+
+    def force_reset(ctx, frame):
+        frame.pc = next_pc
+        ctx.instret += 1
+        cost = ctx._do_force_reset(instr, frame.regs)
+        ctx.time += cost
+        ctx.compute_cycles += cost
+        return None
+    return force_reset
+
+
+def _make_unhandled(instr, pc, unit_name):
+    message = "unhandled IR op %s" % instr.op
+    next_pc = pc + 1
+
+    def unhandled(ctx, frame):
+        frame.pc = next_pc
+        ctx.instret += 1
+        raise VMError(message)
+    return unhandled
+
+
+_RARE_HANDLERS = {
+    IROp.ALLOC: _make_alloc, IROp.CALLV: _make_callv,
+    IROp.MONENTER: _make_monitor, IROp.MONEXIT: _make_monitor,
+    IROp.TRAP: _make_trap, IROp.STL_RUN: _make_stl_run,
+    IROp.STL_EOI_END: _make_thread_end, IROp.STL_EXIT: _make_thread_end,
+    IROp.WAITLOCK: _make_waitlock, IROp.SIGNAL: _make_signal,
+    IROp.FORCE_RESET: _make_force_reset,
+}

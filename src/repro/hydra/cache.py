@@ -114,6 +114,13 @@ class MemoryHierarchy:
             l1.hits += 1
             return config.l1_hit_cycles
         l1.misses += 1
+        return self.l1_miss_latency(l1, line)
+
+    def l1_miss_latency(self, l1, line):
+        """Latency of a load that missed (and counted its miss in) *l1*:
+        probe the shared L2, then fill the line into the levels that
+        lacked it."""
+        config = self.config
         if self.l2.lookup(line):
             l1.fill(line)
             return config.l2_hit_cycles
@@ -124,21 +131,39 @@ class MemoryHierarchy:
     def store_latency(self, cpu, addr):
         """Write-through with write buffering: one cycle from the CPU's
         point of view; the line is updated in this L1 and L2, and peer
-        L1 copies are invalidated (write-bus coherence)."""
+        L1 copies are invalidated (write-bus coherence).  The two fills
+        and the peer invalidations are :meth:`SetAssociativeCache.fill`
+        and :meth:`~SetAssociativeCache.invalidate`, inlined."""
         line = addr >> CACHE_LINE_SHIFT
-        if self._memo == (cpu, line, "store"):
+        l1s = self.l1
+        own = l1s[cpu]
+        l2 = self.l2
+        memo = self._memo
+        if memo is not None and memo[1] == line and memo[0] == cpu \
+                and memo[2] == "store":
             # Repeat same-line store: both fills would only rewrite the
             # LRU tick, and peer L1s already lost the line.
-            self.l1[cpu].tick += 1
-            self.l2.tick += 1
+            own.tick += 1
+            l2.tick += 1
             return 1
         if self._memo_enabled:
             self._memo = (cpu, line, "store")
-        self.l1[cpu].fill(line)
-        self.l2.fill(line)
-        for other, l1 in enumerate(self.l1):
-            if other != cpu:
-                l1.invalidate(line)
+        tick = own.tick + 1
+        own.tick = tick
+        index = line % own.num_sets         # every L1 has the same shape
+        cache_set = own.sets[index]
+        if line not in cache_set and len(cache_set) >= own.assoc:
+            del cache_set[min(cache_set, key=cache_set.get)]
+        cache_set[line] = tick
+        tick = l2.tick + 1
+        l2.tick = tick
+        cache_set = l2.sets[line % l2.num_sets]
+        if line not in cache_set and len(cache_set) >= l2.assoc:
+            del cache_set[min(cache_set, key=cache_set.get)]
+        cache_set[line] = tick
+        for peer in l1s:
+            if peer is not own:
+                peer.sets[index].pop(line, None)
         return 1
 
     def flush_l1(self, cpu):

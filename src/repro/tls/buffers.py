@@ -81,23 +81,45 @@ class SpecThreadState:
         self.pending_exception = None
         self.switch_request = None
         self.pending_resets = []
-        self.pending_output = []
+        # Cleared in place: the CPU's ctx.output_buffer is this list.
+        self.pending_output.clear()
 
 
 class SpecMemoryInterface:
     """Memory interface installed on a CPU while it runs a speculative
-    thread.  Implements forwarding, read tagging and overflow checks."""
+    thread.  Implements forwarding, read tagging and overflow checks.
 
-    __slots__ = ("ctx", "machine", "runtime", "config", "trace")
+    Everything the data path reads besides the thread states — the
+    runtime's thread list, the config constants, committed memory, the
+    hierarchy and this CPU's L1 — is bound at construction.  A load that
+    hits in the L1 makes no further call: the load path does the L1
+    access of :meth:`MemoryHierarchy.load_latency
+    <repro.hydra.cache.MemoryHierarchy.load_latency>` inline (memo hit,
+    then set probe) and calls out only on a miss."""
+
+    __slots__ = ("ctx", "runtime", "trace", "threads", "words",
+                 "hierarchy", "l1", "cpu", "memo_enabled", "l1_hit_cycles",
+                 "forward_cycles", "load_lines_max", "store_lines_max")
 
     def __init__(self, ctx, runtime):
         self.ctx = ctx
-        self.machine = ctx.machine
+        machine = ctx.machine
         self.runtime = runtime
-        self.config = ctx.machine.config
+        config = machine.config
         # Trace collector (or None).  Cached here so the per-first-read
         # guard below is one attribute load, not a machine lookup.
-        self.trace = getattr(ctx.machine, "trace", None)
+        self.trace = getattr(machine, "trace", None)
+        #: the runtime's thread list (grown in place during startup)
+        self.threads = runtime.threads
+        self.words = machine.memory.words
+        self.hierarchy = machine.hierarchy
+        self.cpu = ctx.cpu_id
+        self.l1 = machine.hierarchy.l1[ctx.cpu_id]
+        self.memo_enabled = machine.hierarchy._memo_enabled
+        self.l1_hit_cycles = config.l1_hit_cycles
+        self.forward_cycles = config.interprocessor_cycles
+        self.load_lines_max = config.load_buffer_lines
+        self.store_lines_max = config.store_buffer_lines
 
     # -- lookups --------------------------------------------------------------
     def _find_version(self, addr):
@@ -112,13 +134,11 @@ class SpecMemoryInterface:
         if addr in my.store_buffer:
             return my.store_buffer[addr], my.iteration, "own"
         # Nearest less-speculative forwarder == the highest iteration
-        # below ours holding the word: one pass over the (few) threads
-        # instead of sorting them per load (this is the hottest TLS
-        # memory path).
+        # below ours holding the word: one pass over every thread.
         my_iteration = my.iteration
         source = None
         source_iteration = -1
-        for thread in self.runtime.threads:
+        for thread in self.threads:
             iteration = thread.iteration
             if iteration < my_iteration and iteration > source_iteration \
                     and addr in thread.store_buffer:
@@ -128,12 +148,13 @@ class SpecMemoryInterface:
             return source.store_buffer[addr], source_iteration, "forward"
         if addr <= 0 or addr & 3:
             return 0, -1, "memory"
-        return self.machine.memory.words.get(addr, 0), -1, "memory"
+        return self.words.get(addr, 0), -1, "memory"
 
     def load(self, addr):
         # The version search (== _find_version) is inlined here: this
         # is the hottest TLS memory path, executed once per speculative
-        # load under both schedulers.
+        # load under both schedulers.  (tests/test_tls_buffers.py checks
+        # the two against each other.)
         ctx = self.ctx
         my = ctx.spec
         value = my.store_buffer.get(addr, _MISSING)
@@ -141,43 +162,67 @@ class SpecMemoryInterface:
         if own:
             latency = 1
         else:
-            my_iteration = my.iteration
-            source = None
-            source_iteration = -1
-            for thread in self.runtime.threads:
-                iteration = thread.iteration
-                if iteration < my_iteration \
-                        and iteration > source_iteration \
-                        and addr in thread.store_buffer:
-                    source = thread
-                    source_iteration = iteration
-            if source is not None:
-                value = source.store_buffer[addr]
-                latency = self.config.interprocessor_cycles
-            elif addr <= 0 or addr & 3:
+            # Nearest less-speculative forwarder.  The threads hold the
+            # consecutive iterations head .. head+n-1, iteration k on
+            # thread k % n (the runtime's round-robin), so walk down
+            # from ours to the head instead of scanning every thread.
+            threads = self.threads
+            n = len(threads)
+            head = self.runtime.head_iteration
+            k = my.iteration - 1
+            while k >= head:
+                value = threads[k % n].store_buffer.get(addr, _MISSING)
+                if value is not _MISSING:
+                    break
+                k -= 1
+            if value is not _MISSING:
+                latency = self.forward_cycles
+            elif addr <= 0:
                 value = 0
-                latency = 1 if addr <= 0 else \
-                    self.machine.hierarchy.load_latency(ctx.cpu_id, addr)
+                latency = 1
             else:
-                value = self.machine.memory.words.get(addr, 0)
-                latency = self.machine.hierarchy.load_latency(
-                    ctx.cpu_id, addr)
+                value = 0 if addr & 3 else self.words.get(addr, 0)
+                # MemoryHierarchy.load_latency, inlined up to an L1 miss
+                # (counter- and LRU-exact: same memo, same set probe).
+                line = addr >> CACHE_LINE_SHIFT
+                hierarchy = self.hierarchy
+                l1 = self.l1
+                memo = hierarchy._memo
+                if memo is not None and memo[1] == line \
+                        and memo[0] == self.cpu and memo[2] == "load":
+                    l1.tick += 1
+                    l1.hits += 1
+                    latency = self.l1_hit_cycles
+                else:
+                    if self.memo_enabled:
+                        hierarchy._memo = (self.cpu, line, "load")
+                    tick = l1.tick + 1
+                    l1.tick = tick
+                    cache_set = l1.sets[line % l1.num_sets]
+                    if line in cache_set:
+                        cache_set[line] = tick
+                        l1.hits += 1
+                        latency = self.l1_hit_cycles
+                    else:
+                        l1.misses += 1
+                        latency = hierarchy.l1_miss_latency(l1, line)
         # Set the speculative-read tag.  Hydra's L1 tag bits cannot tell
         # *which* version a read consumed, so any later store by a
         # less-speculative thread to a tagged address violates — except
         # when the thread wrote the word itself before reading (the
         # store buffer renames it; True means "vulnerable").
-        if addr not in my.read_versions:
-            my.read_versions[addr] = not own
+        read_versions = my.read_versions
+        if addr not in read_versions:
+            read_versions[addr] = not own
             if self.trace is not None:
                 # Remember *which load* consumed the value so a later
                 # violation can report the arc's sink PC (paper Fig. 10
                 # wants arcs, not just counts).  Tracing-only: costs one
                 # dict store per first-read of an address.
                 my.read_sites[addr] = ctx.current_site
-            line = addr >> CACHE_LINE_SHIFT
-            my.read_lines.add(line)
-            if (len(my.read_lines) > self.config.load_buffer_lines
+            read_lines = my.read_lines
+            read_lines.add(addr >> CACHE_LINE_SHIFT)
+            if (len(read_lines) > self.load_lines_max
                     and not self.runtime.is_head(my)):
                 self.runtime.flag_overflow(my)
         return value, latency
@@ -189,18 +234,17 @@ class SpecMemoryInterface:
         if source == "own" or addr <= 0:
             latency = 1
         elif source == "forward":
-            latency = self.config.interprocessor_cycles
+            latency = self.forward_cycles
         else:
-            latency = self.machine.hierarchy.load_latency(
-                self.ctx.cpu_id, addr)
+            latency = self.hierarchy.load_latency(self.cpu, addr)
         return value, latency
 
     def store(self, addr, value):
         my = self.ctx.spec
         my.store_buffer[addr] = value
-        line = addr >> CACHE_LINE_SHIFT
-        my.store_lines.add(line)
-        if (len(my.store_lines) > self.config.store_buffer_lines
+        store_lines = my.store_lines
+        store_lines.add(addr >> CACHE_LINE_SHIFT)
+        if (len(store_lines) > self.store_lines_max
                 and not self.runtime.is_head(my)):
             self.runtime.flag_overflow(my)
         self.runtime.notify_store(my, addr)

@@ -36,6 +36,8 @@ The equivalence is enforced end-to-end by
 trace streams across the workload registry).
 """
 
+from bisect import insort
+
 from ..engine.ir_engine import step_table, tls_cost_map, tls_event_map
 from ..errors import GuestException, VMError
 from ..jit.ir import IROp
@@ -55,7 +57,10 @@ _LOCK_POLL_CYCLES = 3
 
 
 class _ThreadCodeUnit:
-    """Adapts an StlDescriptor to the Frame interface (code/nregs/name)."""
+    """Adapts an StlDescriptor to the Frame interface (code/nregs/name).
+
+    One per descriptor per :class:`TlsRuntime` (:meth:`TlsRuntime.
+    unit_for`): every entry into the STL shares its table caches."""
 
     __slots__ = ("code", "nregs", "name", "stls", "_dispatch",
                  "_dispatch_step", "_tls_events", "_tls_costs",
@@ -80,7 +85,8 @@ class _ThreadCodeUnit:
 
 
 class TlsRuntime:
-    """Owns cross-STL state: statistics and the hoisting warm flag."""
+    """Owns cross-STL state: statistics, the hoisting warm flag and the
+    thread-code units."""
 
     def __init__(self, machine):
         self.machine = machine
@@ -88,6 +94,10 @@ class TlsRuntime:
         self.breakdown = TlsStateBreakdown()
         self.stl_stats = {}
         self.last_descriptor = None     # for hoisted startup/shutdown
+        #: StlDescriptor -> its _ThreadCodeUnit, so the unit's handler,
+        #: step, event and cost tables are built once per run, not once
+        #: per STL entry
+        self._units = {}
         machine.tls_runtime = self
 
     def stats_for(self, loop_id):
@@ -96,13 +106,22 @@ class TlsRuntime:
             stats = self.stl_stats[loop_id] = StlRunStats(loop_id)
         return stats
 
+    def unit_for(self, descriptor):
+        """The thread-code unit of *descriptor*, created on first use."""
+        unit = self._units.get(descriptor)
+        if unit is None:
+            unit = self._units[descriptor] = _ThreadCodeUnit(descriptor)
+        return unit
+
     def run_stl(self, master_ctx, descriptor):
         execution = _StlExecution(self, master_ctx, descriptor)
         return execution.run()
 
 
 class _StlExecution:
-    """One dynamic entry into one STL."""
+    """One dynamic entry into one STL.  Its threads, contexts and
+    speculative memory interfaces are per entry; its thread-code unit
+    comes from the runtime."""
 
     def __init__(self, runtime, master_ctx, descriptor):
         self.runtime = runtime
@@ -123,7 +142,7 @@ class _StlExecution:
         self.thread_frames = []
         self.fp_addr = None
         self.entry_reductions = {}
-        self.unit = _ThreadCodeUnit(descriptor)
+        self.unit = runtime.unit_for(descriptor)
         #: runaway guard: *simulated instructions* executed inside this
         #: STL entry (not scheduler iterations), so the budget fires at
         #: the same point under stepwise, event-driven and legacy
@@ -157,11 +176,6 @@ class _StlExecution:
     # ------------------------------------------------------------------
     # speculation services used by SpecMemoryInterface
     # ------------------------------------------------------------------
-    def less_speculative(self, spec):
-        return sorted((t for t in self.threads
-                       if t.iteration < spec.iteration),
-                      key=lambda t: -t.iteration)
-
     def is_head(self, spec):
         return spec.iteration == self.head_iteration
 
@@ -399,10 +413,17 @@ class _StlExecution:
         ctxs = self.ctxs
         config = self.config
         call_pad = config.call_overhead_cycles
+        # The parks of every runnable or lock-waiting CPU as sorted
+        # (park_time, cpu) pairs: stepwise (clock, cpu-index) order.
+        # None forces a full rescan; an overtaken event chain (only its
+        # own CPU's park moved) re-inserts that CPU instead.
+        order = None
         while True:
             head = threads[self.head_iteration % n]
             hstate = head.state
-            if hstate is not _RUN:       # state strings are interned
+            if hstate is not _RUN and hstate is not _WAIT_LOCK:
+                # state strings are interned
+                order = None
                 if hstate is _WAIT_HEAD:
                     self._commit(head)
                     continue
@@ -416,36 +437,33 @@ class _StlExecution:
                 if hstate is _SWITCH:
                     self._do_switch(head)
                     continue
-                # _WAIT_LOCK head falls through to the event scan.
 
-            # Park every running CPU, then pick the earliest position —
-            # tracking the runner-up too, so a chain of events on the
-            # same CPU can keep executing without rescanning while it
-            # stays ahead of every other CPU.
-            best = -1
-            best_t = 0.0
-            second = -1
-            second_t = 0.0
-            for cpu in range(n):
-                tstate = threads[cpu].state
-                if tstate is _RUN:
-                    if park_kind[cpu] is None:
-                        self._advance(cpu)
-                elif tstate is not _WAIT_LOCK:
-                    continue
-                t = park_time[cpu]
-                if best < 0 or t < best_t:
-                    second = best
-                    second_t = best_t
-                    best = cpu
-                    best_t = t
-                elif second < 0 or t < second_t:
-                    second = cpu
-                    second_t = t
-            if best < 0:
-                raise VMError("TLS deadlock in STL %d" % self.desc.stl_id)
+            # Park every running CPU, then order the parks: the earliest
+            # is the next event, and the runner-up bounds how far a
+            # chain of events on the same CPU may run without rescanning.
+            if order is None:
+                order = []
+                for cpu in range(n):
+                    tstate = threads[cpu].state
+                    if tstate is _RUN:
+                        if park_kind[cpu] is None:
+                            self._advance(cpu)
+                    elif tstate is not _WAIT_LOCK:
+                        continue
+                    order.append((park_time[cpu], cpu))
+                if not order:
+                    raise VMError("TLS deadlock in STL %d"
+                                  % self.desc.stl_id)
+                order.sort()
+            best_t, best = order[0]
+            if len(order) > 1:
+                second_t, second = order[1]
+            else:
+                second = -1
+                second_t = 0.0
 
             kind = park_kind[best]
+            overtaken = False
             if kind == "op":
                 ctx = ctxs[best]
                 spec = ctx.spec
@@ -717,7 +735,11 @@ class _StlExecution:
                         park_kind[best] = None
                         seg[best] = None
                         continue         # still globally minimal
-                    break                # overtaken: full rescan
+                    # Overtaken: only this CPU's park moved.
+                    del order[0]
+                    insort(order, (t, best))
+                    overtaken = True
+                    break
             elif kind == "run":          # chunk-yield: resume run-ahead
                 self._advance(best)
             elif kind == "poll":
@@ -741,13 +763,8 @@ class _StlExecution:
                 self._park_payload[best] = None
                 park_kind[best] = None
                 seg[best] = None
-
-    def _clear(self, cpu):
-        """The CPU's parked event executed (or its thread left the RUN
-        state at it): the segment becomes immutable history — every
-        later cut orders after this position — so drop it."""
-        self._park_kind[cpu] = None
-        self._seg[cpu] = None
+            if not overtaken:
+                order = None
 
     def _account(self, cpu):
         """Fold the CPU's new instructions into the step budget (the

@@ -21,11 +21,6 @@ class _StubExecution:
         self.stores = []
         self.head_iteration = min(t.iteration for t in threads)
 
-    def less_speculative(self, spec):
-        return sorted((t for t in self.threads
-                       if t.iteration < spec.iteration),
-                      key=lambda t: -t.iteration)
-
     def is_head(self, spec):
         return spec.iteration == self.head_iteration
 
@@ -170,3 +165,38 @@ def test_same_line_reads_count_one_line():
     ctxs[1].mem.load(ADDR + 28)
     assert len(threads[1].read_lines) == 1
     assert not threads[1].overflowed
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_load_forwarding_walk_matches_version_scan(seed):
+    """SpecMemoryInterface.load finds the forwarder by walking down the
+    consecutive iterations head..ours (thread k % n holds iteration k);
+    _find_version scans every thread.  Both must pick the same value
+    and source for every thread and address."""
+    import random
+    rng = random.Random(seed)
+    config = HydraConfig()
+    machine, ctxs, threads, execution = make_world(num_threads=4)
+    head = 4 * rng.randrange(1, 5) + rng.randrange(4)
+    for cpu, thread in enumerate(threads):
+        # CPU c runs the one iteration of head..head+3 congruent to c
+        thread.iteration = head + (cpu - head) % 4
+    execution.head_iteration = head
+    addrs = [ADDR + 4 * k for k in range(12)] + [-8, ADDR + 2]
+    for addr in addrs[:6]:
+        machine.memory.store(addr, rng.randrange(1000))
+    for thread in threads:
+        for addr in rng.sample(addrs, 5):
+            thread.store_buffer[addr] = rng.randrange(1000)
+    checked = set()
+    for ctx in ctxs:
+        for addr in addrs:
+            value, __, source = ctx.mem._find_version(addr)
+            loaded, latency = ctx.mem.load(addr)
+            assert loaded == value, (ctx.spec.iteration, addr)
+            if source == "own":
+                assert latency == 1
+            elif source == "forward":
+                assert latency == config.interprocessor_cycles
+            checked.add(source)
+    assert checked == {"own", "forward", "memory"}

@@ -1,11 +1,15 @@
 """Focused TLS runtime behaviours not covered by the end-to-end tests:
 commit ordering, violation cascades, exit protocol, accounting."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.pipeline import Jrpm
+from repro.engine import ir_engine
 from repro.hydra.config import HydraConfig
 from repro.minijava import compile_source
+from repro.tls import runtime as tls_runtime
 
 from conftest import wrap_main
 
@@ -194,3 +198,85 @@ def test_stl_stats_recorded_per_loop():
         assert stats.entries >= 1
         assert stats.threads_committed > 0
         assert stats.avg_thread_cycles > 0
+
+
+@pytest.mark.parametrize("scheduler", ["event", "stepwise"])
+def test_thread_code_tables_built_once_per_run(monkeypatch, scheduler):
+    """An inner STL entered once per outer iteration reuses one
+    thread-code unit: its handler, step, event and cost tables are
+    built once per TLS run, not once per STL entry."""
+    builds = Counter()
+    real_build = ir_engine.build_table
+    real_events = tls_runtime.tls_event_map
+    real_costs = tls_runtime.tls_cost_map
+
+    def build_table(code, unit_name, *args, **kwargs):
+        builds["step" if kwargs.get("stepwise") else "handlers",
+               unit_name] += 1
+        return real_build(code, unit_name, *args, **kwargs)
+
+    def tls_event_map(unit):
+        if unit._tls_events is None:
+            builds["events", unit.name] += 1
+        return real_events(unit)
+
+    def tls_cost_map(unit, call_overhead_cycles):
+        if unit._tls_costs is None:
+            builds["costs", unit.name] += 1
+        return real_costs(unit, call_overhead_cycles)
+
+    monkeypatch.setattr(ir_engine, "build_table", build_table)
+    monkeypatch.setattr(tls_runtime, "tls_event_map", tls_event_map)
+    monkeypatch.setattr(tls_runtime, "tls_cost_map", tls_cost_map)
+    report = run(wrap_main("""
+        int[] a = new int[64];
+        int total = 1;
+        for (int r = 0; r < 30; r++) {
+            for (int i = 0; i < 64; i++) {
+                a[i] = (a[i] * 3 + i + total) & 1023;
+            }
+            total = (total * 31 + a[r % 64]) & 65535;
+        }
+        Sys.printInt(total);
+        return total;
+    """), config=HydraConfig(scheduler=scheduler))
+    assert report.outputs_match()
+    assert [stats.entries for stats in report.stl_run_stats.values()] \
+        == [30]
+    thread_builds = {key: count for key, count in builds.items()
+                     if "$stl" in key[1]}
+    kinds = {kind for kind, __ in thread_builds}
+    assert "handlers" in kinds or "step" in kinds
+    if scheduler == "event":
+        assert {"handlers", "events", "costs"} <= kinds
+    assert set(thread_builds.values()) == {1}, thread_builds
+
+
+@pytest.mark.parametrize("scheduler", ["event", "stepwise"])
+def test_output_from_callee_survives_thread_resets(scheduler):
+    """A selected loop may print through a called method.  Every thread
+    after a CPU's first must still buffer its prints where the commit
+    reads them (regression: the buffer was replaced when the thread
+    state was reset, so only each CPU's first thread's prints reached
+    the output)."""
+    report = run("""
+class Main {
+    static void report(int i) { Sys.printInt(i); }
+    static int main() {
+        int[] a = new int[600];
+        for (int i = 0; i < 600; i++) {
+            int v = i;
+            for (int k = 0; k < 10; k++) { v = (v * 7 + k) & 1023; }
+            a[i] = v;
+            if ((v & 63) == 3) { report(i); }
+        }
+        Sys.printInt(-1);
+        return 0;
+    }
+}
+""", config=HydraConfig(scheduler=scheduler))
+    assert report.plans
+    assert len(report.sequential.output) > 5
+    assert report.tls.output == report.sequential.output
+    assert sum(s.threads_committed
+               for s in report.stl_run_stats.values()) > 100
